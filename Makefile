@@ -1,10 +1,11 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench benchdiff figures examples clean check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz cover
+.PHONY: all build test bench benchdiff figures examples clean check perfbench-check cache-smoke bench-smoke fleet-smoke fleet-chaos trace-smoke jobs-smoke chaos api-smoke fuzz cover
 
 all: build test
 
-# Full pre-merge gate: vet + build + race-enabled tests + the fault-injection
+# Full pre-merge gate: vet + build + race-enabled tests + the benchmark
+# harness's own vet and tests (perfbench-check) + the fault-injection
 # suite under -race + a cached-vs-uncached paperfigs smoke proving the
 # persistent run cache reproduces byte-identical tables with zero
 # re-simulations, a one-iteration pass over every benchmark, and a throughput
@@ -14,6 +15,7 @@ check:
 	go vet ./...
 	go build ./...
 	go test -race ./...
+	$(MAKE) perfbench-check
 	$(MAKE) chaos
 	$(MAKE) examples
 	$(MAKE) api-smoke
@@ -24,6 +26,12 @@ check:
 	$(MAKE) jobs-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) benchdiff
+
+# The benchmark harness is a Go module of its own (perfbench/go.mod), so the
+# root `go build ./...`/`go test ./...` never compile it; vet and test it
+# here so changes behind the APIs it imports cannot break it unseen.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # Fault-injection (chaos) suite: injected panics, stalls, disk-write failures
 # and corrupt cache entries must all be contained — typed per-config errors,

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/faultinject"
@@ -36,9 +37,13 @@ func fatal(v ...any) {
 }
 
 func main() {
+	var families []string
+	for _, f := range sim.Families() {
+		families = append(families, f.Name)
+	}
 	var (
 		app          = flag.String("app", "511.povray", "workload name (see -list)")
-		predictor    = flag.String("predictor", "phast", "predictor spec (phast, storesets, nosq, mdptage, mdptage-s, ideal, none, unlimited-phast, ...)")
+		predictor    = flag.String("predictor", "phast", "predictor spec name[:<int>]: "+strings.Join(families, ", ")+" (see -list)")
 		machine      = flag.String("machine", "alderlake", "machine configuration")
 		n            = flag.Int("n", sim.DefaultInstructions, "instructions to simulate")
 		seed         = flag.Int64("seed", 0, "stream seed override (0 = app default)")
@@ -109,8 +114,14 @@ func main() {
 			fmt.Println("  " + a)
 		}
 		fmt.Println("machines:", config.Names())
-		fmt.Println("predictors:", sim.PredictorNames(),
-			"(plus ideal, none, alwayswait, cht, storevector, unlimited-*, and :<size> budget specs)")
+		fmt.Println("predictors:")
+		for _, f := range sim.Families() {
+			if d := f.Arg; d != nil {
+				fmt.Printf("  %s[:<%s>]  %v, default %d\n", f.Name, d.Meaning, d, d.Default)
+			} else {
+				fmt.Println("  " + f.Name)
+			}
+		}
 		return
 	}
 

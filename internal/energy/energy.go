@@ -115,10 +115,3 @@ func OfRun(perAccessPJ float64, parallel int, reads, writes uint64) RunEnergy {
 		WritesNJ: float64(writes) * writePJ / 1000,
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -54,7 +54,7 @@ func Fig13(r *Runner) error {
 	o := r.Opt()
 	t := stats.NewTable("Fig. 13 — performance vs storage", "predictor", "size KB", "IPC/ideal")
 	sc := viz.Scatter{Title: "Fig. 13 (chart) — IPC/ideal by storage budget", XLabel: "KB", Width: 44}
-	for _, family := range []string{"storesets", "nosq", "mdptage", "mdptage-s", "phast"} {
+	for _, family := range sim.PredictorNames() {
 		for _, spec := range fig13Budgets[family] {
 			pred, err := sim.NewPredictor(spec)
 			if err != nil {
@@ -191,10 +191,17 @@ func Fig16(r *Runner) error {
 			reads += run.PredictorReads
 			writes += run.PredictorWrites
 		}
-		per := energy.PerAccessPJ(energy.StructuresFor(p))
+		structs, err := sim.PredictorEnergy(p)
+		if err != nil {
+			return err
+		}
+		per := energy.PerAccessPJ(structs)
 		// Reads counted per structure probe: normalise to whole-predictor
 		// accesses.
-		parallel := energy.ParallelFor(p)
+		parallel := 0
+		for _, s := range structs {
+			parallel += max(1, s.Parallel)
+		}
 		e := energy.OfRun(per, parallel, reads/uint64(parallel), writes)
 		t.AddRowf(p, per, e.ReadsNJ, e.WritesNJ, e.TotalNJ())
 	}
@@ -233,7 +240,11 @@ func Table2(r *Runner) error {
 		if err != nil {
 			return err
 		}
-		t.AddRowf(spec, float64(pred.SizeBits())/8192, energy.PerAccessPJ(energy.StructuresFor(spec)))
+		structs, err := sim.PredictorEnergy(spec)
+		if err != nil {
+			return err
+		}
+		t.AddRowf(spec, float64(pred.SizeBits())/8192, energy.PerAccessPJ(structs))
 	}
 	fmt.Fprintln(o.Out, t)
 	return nil

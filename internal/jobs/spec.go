@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -40,9 +39,6 @@ const (
 	MaxAxis = 64
 	// MaxApps bounds a job's workload list.
 	MaxApps = 16
-	// MaxPredictorArg bounds the numeric argument of a predictor spec
-	// ("phast:<sets>"), keeping validation-time construction cheap.
-	MaxPredictorArg = 65536
 	// MaxInstructions bounds per-trial stream length at full fidelity.
 	MaxInstructions = 50_000_000
 	// MaxRungs bounds a halving schedule's depth.
@@ -221,33 +217,43 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func (sp Space) validate() error {
-	for _, axis := range [][]int{sp.PhastSets, sp.PhastTables, sp.PhastConf} {
-		if len(axis) > MaxAxis {
-			return specErrf("space axis of %d values (max %d)", len(axis), MaxAxis)
-		}
+// axis is one expansion axis of a Space: each value v becomes the
+// predictor spec "<family>:<v>".
+type axis struct {
+	name   string // JSON field, for error messages
+	family string // sim predictor family
+	values []int
+}
+
+// axes lists the Space's expansion axes in canonical candidate order.
+func (sp Space) axes() []axis {
+	return []axis{
+		{"phast_sets", "phast", sp.PhastSets},
+		{"phast_tables", "phast-tables", sp.PhastTables},
+		{"phast_conf", "phast-conf", sp.PhastConf},
 	}
+}
+
+// validate checks every explicit spec and every axis value against the
+// predictor registry's domains (sim.ParsePredictorSpec) without
+// constructing a predictor, so hostile arguments cost nothing.
+func (sp Space) validate() error {
 	if len(sp.Predictors) > MaxAxis {
 		return specErrf("%d explicit predictors (max %d)", len(sp.Predictors), MaxAxis)
 	}
-	for _, v := range sp.PhastSets {
-		if v < 16 || v > MaxPredictorArg {
-			return specErrf("phast_sets value %d out of range [16, %d]", v, MaxPredictorArg)
-		}
-	}
-	for _, v := range sp.PhastTables {
-		if v < 1 || v > 8 {
-			return specErrf("phast_tables value %d out of range [1, 8]", v)
-		}
-	}
-	for _, v := range sp.PhastConf {
-		if v < 1 || v > 255 {
-			return specErrf("phast_conf value %d out of range [1, 255]", v)
-		}
-	}
 	for _, spec := range sp.Predictors {
-		if err := validatePredictorSpec(spec); err != nil {
-			return err
+		if _, _, err := sim.ParsePredictorSpec(spec); err != nil {
+			return specErrf("%v", err)
+		}
+	}
+	for _, ax := range sp.axes() {
+		if len(ax.values) > MaxAxis {
+			return specErrf("%s axis of %d values (max %d)", ax.name, len(ax.values), MaxAxis)
+		}
+		for _, v := range ax.values {
+			if _, _, err := sim.ParsePredictorSpec(ax.family + ":" + strconv.Itoa(v)); err != nil {
+				return specErrf("%s value %d: %v", ax.name, v, err)
+			}
 		}
 	}
 	if len(sp.TrainAtDetect) > 2 {
@@ -255,28 +261,6 @@ func (sp Space) validate() error {
 	}
 	if len(sp.TrainAtDetect) == 2 && sp.TrainAtDetect[0] == sp.TrainAtDetect[1] {
 		return specErrf("duplicate train_at_detect value")
-	}
-	return nil
-}
-
-// validatePredictorSpec accepts exactly what sim.NewPredictor accepts, after
-// capping the numeric argument so validation-time construction stays cheap
-// on hostile input (a "phast:999999999" must be a 400, not an allocation).
-func validatePredictorSpec(spec string) error {
-	if spec == "" {
-		return specErrf("empty predictor spec")
-	}
-	if _, arg, ok := strings.Cut(spec, ":"); ok {
-		v, err := strconv.Atoi(arg)
-		if err != nil {
-			return specErrf("predictor spec %q: non-integer argument", spec)
-		}
-		if v < 0 || v > MaxPredictorArg {
-			return specErrf("predictor spec %q: argument out of range [0, %d]", spec, MaxPredictorArg)
-		}
-	}
-	if _, err := sim.NewPredictor(spec); err != nil {
-		return specErrf("%v", err)
 	}
 	return nil
 }
@@ -328,17 +312,11 @@ func (s Spec) Candidates() []Candidate {
 	if len(tads) == 0 {
 		tads = []bool{false}
 	}
-	preds := make([]string, 0,
-		len(s.Space.Predictors)+len(s.Space.PhastSets)+len(s.Space.PhastTables)+len(s.Space.PhastConf))
-	preds = append(preds, s.Space.Predictors...)
-	for _, v := range s.Space.PhastSets {
-		preds = append(preds, "phast:"+strconv.Itoa(v))
-	}
-	for _, v := range s.Space.PhastTables {
-		preds = append(preds, "phast-tables:"+strconv.Itoa(v))
-	}
-	for _, v := range s.Space.PhastConf {
-		preds = append(preds, "phast-conf:"+strconv.Itoa(v))
+	preds := append([]string(nil), s.Space.Predictors...)
+	for _, ax := range s.Space.axes() {
+		for _, v := range ax.values {
+			preds = append(preds, ax.family+":"+strconv.Itoa(v))
+		}
 	}
 	seen := map[Candidate]bool{}
 	out := make([]Candidate, 0, len(preds)*len(tads))

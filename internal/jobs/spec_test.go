@@ -98,6 +98,9 @@ func TestParseSpecJSONRejects(t *testing.T) {
 		{"huge predictor arg", `{"space":{"predictors":["phast:999999999"]}}`, "out of range"},
 		{"non-integer arg", `{"space":{"predictors":["phast:many"]}}`, "non-integer"},
 		{"bad sets", `{"space":{"phast_sets":[4]}}`, "phast_sets"},
+		{"sets not a power of two", `{"space":{"phast_sets":[100]}}`, "phast_sets"},
+		{"predictor outside its domain", `{"space":{"predictors":["phast:100"]}}`, "out of range"},
+		{"argument on bare-name predictor", `{"space":{"predictors":["mdptage:5"]}}`, "takes no argument"},
 		{"bad tables", `{"space":{"phast_tables":[9]}}`, "phast_tables"},
 		{"bad conf", `{"space":{"phast_conf":[0]}}`, "phast_conf"},
 		{"dup tad", `{"space":{"predictors":["phast"],"train_at_detect":[true,true]}}`, "duplicate"},

@@ -78,15 +78,19 @@ func traceFromBytes(data []byte) *trace.Trace {
 // with the architectural oracle attached: whatever the dataflow and memory
 // shape, every configuration must commit the whole stream with
 // oracle-identical results — no divergence, no deadlock, no panic. sel
-// rotates the predictor, machine generation and filter mode so one corpus
-// exercises the whole configuration cross product.
+// rotates the predictor (over every family in sim's registry), machine
+// generation and filter mode so one corpus exercises the whole
+// configuration cross product.
 func FuzzPipelineTrace(f *testing.F) {
 	f.Add(uint64(0), []byte("\x03\x01\x10\x02\x05\x02\x10\x02\x03\x03\x10\x03"))
 	f.Add(uint64(4), []byte("store then load then branch \x05\x07\x20\x03\x03\x02\x20\x03\x07\x00\x01\x09"))
 	f.Add(uint64(11), []byte{5, 1, 0x40, 3, 5, 2, 0x42, 1, 3, 3, 0x40, 3, 7, 2, 0, 0, 7, 3, 0, 0})
 
 	machines := []func() config.Machine{config.Nehalem, config.Skylake, config.AlderLake}
-	preds := []string{"phast", "storesets", "none", "perceptron-mdp", "storevector", "nosq"}
+	var preds []string // every registered family at its default argument
+	for _, fam := range sim.Families() {
+		preds = append(preds, fam.Name)
+	}
 	filters := []pipeline.FilterMode{pipeline.FilterFwd, pipeline.FilterNone, pipeline.FilterSVW}
 
 	f.Fuzz(func(t *testing.T, sel uint64, data []byte) {

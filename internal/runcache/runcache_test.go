@@ -242,22 +242,19 @@ func TestCacheInMemoryOnly(t *testing.T) {
 }
 
 func TestSingleFlight(t *testing.T) {
-	var g Group
 	var calls, shares atomic.Uint64
+	g := Group{OnJoin: func() { shares.Add(1) }}
 	gate := make(chan struct{})
 	const waiters = 16
 	results := make([]*stats.Run, waiters)
 	do := func(i int) {
-		run, err, shared := g.Do(context.Background(), "k", func() (*stats.Run, error) {
+		run, err := g.Do(context.Background(), "k", func() (*stats.Run, error) {
 			calls.Add(1)
 			<-gate // hold the flight open while waiters pile up
 			return fakeRun("x", 1), nil
 		})
 		if err != nil {
 			t.Error(err)
-		}
-		if shared {
-			shares.Add(1)
 		}
 		results[i] = run
 	}
@@ -274,11 +271,15 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); do(i) }()
 	}
-	time.Sleep(50 * time.Millisecond) // let the waiters reach the group
+	// Joins are counted at join time, while the flight is still open.
+	deadline := time.Now().Add(5 * time.Second)
+	for shares.Load() < waiters-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	wg.Wait()
-	// Every caller either executed fn or shared a result; with the flight
-	// held open, all waiters coalesce onto the single winner.
+	// Every caller either executed fn or joined its flight; with the
+	// flight held open, all waiters coalesce onto the single winner.
 	if calls.Load()+shares.Load() != waiters {
 		t.Errorf("calls(%d)+shared(%d) != %d", calls.Load(), shares.Load(), waiters)
 	}
@@ -289,5 +290,47 @@ func TestSingleFlight(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatalf("waiter %d got a different result", i)
 		}
+	}
+}
+
+// TestSingleFlightLeaderPanic: a panicking leader re-panics on its own
+// goroutine while its waiters receive ErrFlightPanicked instead of hanging.
+func TestSingleFlightLeaderPanic(t *testing.T) {
+	var g Group
+	joined := make(chan struct{})
+	g.OnJoin = func() { close(joined) }
+	release := make(chan struct{})
+	leaderDone := make(chan any)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		g.Do(context.Background(), "k", func() (*stats.Run, error) {
+			<-release
+			panic("injected")
+		})
+	}()
+	waiter := make(chan error)
+	go func() {
+		for {
+			g.mu.Lock()
+			_, inFlight := g.m["k"]
+			g.mu.Unlock()
+			if inFlight {
+				break
+			}
+			runtime.Gosched()
+		}
+		_, err := g.Do(context.Background(), "k", func() (*stats.Run, error) {
+			t.Error("waiter must not run fn")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	<-joined
+	close(release)
+	if v := <-leaderDone; v != "injected" {
+		t.Errorf("leader recovered %v, want the injected panic", v)
+	}
+	if err := <-waiter; !errors.Is(err, ErrFlightPanicked) {
+		t.Errorf("waiter got %v, want ErrFlightPanicked", err)
 	}
 }

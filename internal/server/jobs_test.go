@@ -243,6 +243,8 @@ func TestJobsLifecycleHTTP(t *testing.T) {
 		`{"space":`,
 		`{"space":{"predictors":["quantum"]}}`,
 		`{"space":{"predictors":["phast"]},"bogus":1}`,
+		`{"space":{"predictors":["phast:100"]}}`,
+		`{"space":{"phast_sets":[100]}}`,
 	} {
 		var e errorResponse
 		if status := postSpec(t, ts, "acme", bad, &e); status != http.StatusBadRequest || e.Error.Kind != KindBadRequest {

@@ -244,11 +244,11 @@ type Server struct {
 	metrics *stats.Metrics
 	latency *stats.Histogram
 	adm     *admitter
-	fleet   *cluster.Fleet  // nil = standalone
-	peers   *peerClient     // nil = standalone
-	brk     *breakers       // nil = standalone
-	prober  *cluster.Prober // nil = standalone
-	lookup  CacheLookup     // nil when the backend has no local cache probe
+	fleet   *cluster.Fleet   // nil = standalone
+	peers   *peerClient      // nil = standalone
+	brk     *breakers        // nil = standalone
+	prober  *cluster.Prober  // nil = standalone
+	lookup  CacheLookup      // nil when the backend has no local cache probe
 	sched   ScheduledBackend // nil when the backend has no fair worker pool
 
 	store   *tracestore.Store     // nil = no trace ingestion
@@ -260,12 +260,11 @@ type Server struct {
 	tmu       sync.Mutex
 	tinflight map[string]int
 
-	// flights is the server-level single-flight map, keyed exactly like the
-	// run cache (runcache.Key) so "identical request" and "same cache entry"
-	// are one notion. Joins bump server.coalesced at join time, making
+	// flights is the server-level single-flight group, keyed exactly like
+	// the run cache (runcache.Key) so "identical request" and "same cache
+	// entry" are one notion. Joins bump server.coalesced at join time, making
 	// coalescing observable while the flight is still running.
-	fmu     sync.Mutex
-	flights map[string]*flight
+	flights runcache.Group
 
 	draining   atomic.Bool
 	hardCtx    context.Context // cancelled by Abort: hard-stops in-flight runs
@@ -282,11 +281,11 @@ func New(backend Backend, opt Options) *Server {
 		metrics:   opt.Metrics,
 		latency:   opt.Metrics.Histogram(HistLatency, stats.DefaultLatencyBuckets),
 		adm:       newAdmitter(opt.Metrics, opt.MaxInflight, opt.QueueDepth),
-		flights:   map[string]*flight{},
 		store:     opt.TraceStore,
 		results:   opt.Results,
 		tinflight: map[string]int{},
 	}
+	s.flights.OnJoin = func() { s.metrics.Add(CounterCoalesced, 1) }
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.lookup, _ = backend.(CacheLookup)
 	s.sched, _ = backend.(ScheduledBackend)
@@ -483,13 +482,6 @@ func (s *Server) normalize(cfg sim.Config) sim.Config {
 	return cfg.Normalized()
 }
 
-// flight is one in-flight run shared by every request for its key.
-type flight struct {
-	done chan struct{} // closed when run/err are final
-	run  *stats.Run
-	err  error
-}
-
 // runOne executes one config through coalescing → routing → admission →
 // backend. Identical in-flight configs share one execution: the first
 // request leads (and pays admission), duplicates wait for its result without
@@ -497,72 +489,47 @@ type flight struct {
 // "identical" means "would hit the same cache entry". A waiter whose own
 // deadline expires unblocks with its context error while the flight
 // continues for the others; if the leader fails (including an admission
-// rejection), every waiter receives the leader's error.
+// rejection), every waiter receives the leader's error, and if the leader
+// panics past the backend's own recovery (the panic propagates on its
+// request goroutine, where net/http contains it) every waiter receives a
+// typed sim.ErrInternal rather than a hang.
 //
 // In a fleet, a leader whose key belongs to another member proxies the run
 // to that owner instead of admitting it locally (local=false); the owner's
-// own flights map then coalesces duplicates arriving from every member, so
-// a viral config executes once per fleet. local=true (the /v1/peer/run
-// path, or a proxy fallback) always executes here. The proxying node holds
-// no admission slot while it waits — it is parked on network I/O; the
-// owner's admission control is the fleet's simulation bound for that key.
+// own flights then coalesce duplicates arriving from every member, so a
+// viral config executes once per fleet. local=true (the /v1/peer/run path,
+// or a proxy fallback) always executes here. The proxying node holds no
+// admission slot while it waits — it is parked on network I/O; the owner's
+// admission control is the fleet's simulation bound for that key.
 func (s *Server) runOne(ctx context.Context, cfg sim.Config, local bool) (*stats.Run, error) {
 	key := runcache.Key(cfg)
-	s.fmu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.fmu.Unlock()
-		s.metrics.Add(CounterCoalesced, 1)
-		select {
-		case <-f.done:
-			return f.run, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.fmu.Unlock()
-
-	// The flight must resolve even if the backend panics past its own
-	// recovery (the panic then propagates on this request's goroutine, where
-	// net/http contains it; waiters get a typed error, not a hang).
-	finished := false
-	defer func() {
-		if !finished {
-			f.run, f.err = nil, &sim.SimError{Kind: sim.ErrInternal, Config: cfg,
-				Err: errors.New("server: in-flight run panicked")}
-		}
-		s.fmu.Lock()
-		delete(s.flights, key)
-		s.fmu.Unlock()
-		close(f.done)
-	}()
-	if !local && s.fleet != nil {
-		if owner := s.fleet.Owner(key); owner != s.fleet.Self() {
-			s.metrics.Add(CounterProxied, 1)
-			run, err := s.peers.proxyRun(ctx, owner, key, cfg)
-			if err == nil || !proxyFallback(ctx, err) {
-				f.run, f.err = run, err
-				finished = true
-				return f.run, f.err
+	run, err := s.flights.Do(ctx, key, func() (*stats.Run, error) {
+		if !local && s.fleet != nil {
+			if owner := s.fleet.Owner(key); owner != s.fleet.Self() {
+				s.metrics.Add(CounterProxied, 1)
+				run, err := s.peers.proxyRun(ctx, owner, key, cfg)
+				if err == nil || !proxyFallback(ctx, err) {
+					return run, err
+				}
+				// The owner is unreachable (or draining): degrade to
+				// executing locally rather than failing the request.
+				// Fleet-wide dedup degrades with it, but the cache's peer
+				// tier still recovers anything the fleet has already
+				// simulated.
+				s.metrics.Add(CounterProxyErrors, 1)
 			}
-			// The owner is unreachable (or draining): degrade to executing
-			// locally rather than failing the request. Fleet-wide dedup
-			// degrades with it, but the cache's peer tier still recovers
-			// anything the fleet has already simulated.
-			s.metrics.Add(CounterProxyErrors, 1)
 		}
+		release, err := s.adm.admit(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return s.execute(ctx, cfg)
+	})
+	if errors.Is(err, runcache.ErrFlightPanicked) {
+		err = &sim.SimError{Kind: sim.ErrInternal, Config: cfg, Err: err}
 	}
-	release, aerr := s.adm.admit(ctx)
-	if aerr != nil {
-		f.run, f.err = nil, aerr
-		finished = true
-		return nil, aerr
-	}
-	defer release()
-	f.run, f.err = s.execute(ctx, cfg)
-	finished = true
-	return f.run, f.err
+	return run, err
 }
 
 // execute runs one admitted config on the backend, through the runner's

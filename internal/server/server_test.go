@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -254,6 +255,89 @@ func TestServerCoalescesDuplicates(t *testing.T) {
 	// Only the flight leader consumed an admission slot.
 	if got := m.Get(CounterAccepted); got != 1 {
 		t.Errorf("%s = %d, want 1 (duplicates must not consume slots)", CounterAccepted, got)
+	}
+}
+
+// panicBackend is a fakeBackend whose runs panic once released: the fault
+// escapes the backend's own recovery and must be contained by the flight.
+type panicBackend struct{ fakeBackend }
+
+func (p *panicBackend) RunConfigContext(ctx context.Context, cfg sim.Config) (*stats.Run, error) {
+	p.calls.Add(1)
+	<-p.gate
+	panic("injected backend fault")
+}
+
+// TestServerLeaderPanicReleasesWaiters: when the flight leader's backend
+// panics, the leader's connection is dropped (net/http contains the panic)
+// and every coalesced waiter receives a typed 500 internal error instead of
+// hanging.
+func TestServerLeaderPanicReleasesWaiters(t *testing.T) {
+	pb := &panicBackend{fakeBackend{gate: make(chan struct{})}}
+	m := stats.NewMetrics()
+	ts := httptest.NewUnstartedServer(New(pb, Options{MaxInflight: 4, Metrics: m}).Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the contained panic's log line
+	ts.Start()
+	defer ts.Close()
+
+	cfg := sim.Config{App: "519.lbm", Predictor: "none", Instructions: 10_000}
+	body, _ := json.Marshal(RunRequest{Config: cfg})
+	leader := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("leader got status %d", resp.StatusCode)
+		}
+		leader <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for pb.calls.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	type result struct {
+		status int
+		body   errorResponse
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		var r result
+		r.status, _ = postJSON(t, ts.Client(), ts.URL+"/v1/runs", RunRequest{Config: cfg}, &r.body)
+		waiter <- r
+	}()
+	for m.Get(CounterCoalesced) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(pb.gate)
+
+	if err := <-leader; err == nil {
+		t.Error("the panicking leader's request should fail at the transport")
+	}
+	r := <-waiter
+	if r.status != http.StatusInternalServerError || r.body.Error.Kind != string(sim.ErrInternal) {
+		t.Errorf("waiter = %d %+v, want 500 %s", r.status, r.body, sim.ErrInternal)
+	}
+	if got := pb.calls.Load(); got != 1 {
+		t.Errorf("backend executed %d times, want 1", got)
+	}
+}
+
+// TestServerOutOfDomainSpecIs400: a predictor spec outside its family's
+// domain (PHAST sets must be a power of two) is a typed 400 config error,
+// never a panic surfacing as a 500.
+func TestServerOutOfDomainSpecIs400(t *testing.T) {
+	r := experiments.NewRunner(experiments.Options{Instructions: 10_000, KeepGoing: true})
+	defer r.Close()
+	ts := httptest.NewServer(New(r, Options{Metrics: r.Metrics()}).Handler())
+	defer ts.Close()
+
+	for _, spec := range []string{"phast:100", "storesets:3", "nosq:0", "mdptage:5"} {
+		var er errorResponse
+		cfg := sim.Config{App: "511.povray", Predictor: spec, Instructions: 10_000}
+		status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/runs", RunRequest{Config: cfg}, &er)
+		if status != http.StatusBadRequest || er.Error.Kind != string(sim.ErrConfig) {
+			t.Errorf("%s: %d %+v, want 400 %s", spec, status, er, sim.ErrConfig)
+		}
 	}
 }
 

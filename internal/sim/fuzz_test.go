@@ -10,7 +10,7 @@ import (
 
 // FuzzSimConfig drives the whole facade with arbitrary configs: any input
 // must either simulate to completion or fail with a typed *SimError — never
-// panic, never return an untyped error. Unknown app/machine/predictor
+// panic (not even one RunContext recovers), never return an untyped error. Unknown app/machine/predictor
 // strings exercise the config-rejection paths; recognisable ones fall
 // through to real (bounded, optionally oracle-verified) simulations.
 func FuzzSimConfig(f *testing.F) {
@@ -47,6 +47,9 @@ func FuzzSimConfig(f *testing.F) {
 			}
 			if se.Kind == "" || strings.TrimSpace(se.Error()) == "" {
 				t.Fatalf("SimError missing kind or message: %+v", se)
+			}
+			if se.Kind == ErrPanic {
+				t.Fatalf("simulation panicked: %v\n%s", se, se.Stack)
 			}
 			return
 		}

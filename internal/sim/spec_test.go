@@ -28,6 +28,18 @@ func TestNewPredictorErrorPaths(t *testing.T) {
 		{"phast-conf above range", "phast-conf:256", "out of range"},
 		{"phast-tables below range", "phast-tables:0", "out of range"},
 		{"phast-tables above range", "phast-tables:99", "out of range"},
+		{"phast sets not a power of two", "phast:100", "out of range"},
+		{"phast sets below range", "phast:8", "out of range"},
+		{"phast sets above range", "phast:131072", "out of range"},
+		{"storesets not a power of two", "storesets:3", "out of range"},
+		{"nosq zero entries", "nosq:0", "out of range"},
+		{"unlimited-nosq negative history", "unlimited-nosq:-1", "out of range"},
+		{"unlimited-nosq beyond history register", "unlimited-nosq:4096", "out of range"},
+		{"unlimited-phast negative history", "unlimited-phast:-1", "out of range"},
+		{"argument on bare name", "mdptage:5", "takes no argument"},
+		{"argument on ideal", "ideal:7", "takes no argument"},
+		{"argument on cht", "cht:9", "takes no argument"},
+		{"empty argument on bare name", "none:", "takes no argument"},
 	}
 	for _, c := range cases {
 		c := c
